@@ -66,10 +66,14 @@ func runScan(retainDir, from, to string, template uint64) {
 		opts.Templates = map[uint64]bool{template: true}
 	}
 	n := 0
+	enc := logmodel.NewEncoder(os.Stdout)
 	err = colstore.NewReader(retainDir).Scan(opts, func(_ uint64, e logmodel.Entry) error {
 		n++
-		return logmodel.WriteTSV(os.Stdout, logmodel.Log{e})
+		return enc.Encode(&e)
 	})
+	if err == nil {
+		err = enc.Flush()
+	}
 	if err != nil {
 		fatal(err)
 	}

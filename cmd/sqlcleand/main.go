@@ -123,9 +123,19 @@ func main() {
 			fatal(err)
 		}
 		cleanFile = f
-		// The server serializes Emit calls, so plain writes are safe.
+		// The server serializes Emit calls, so one encoder serves them all.
+		// Each emitted batch is flushed, so the file is current after every
+		// closed session.
+		enc := logmodel.NewEncoder(f)
 		emit = func(l logmodel.Log) {
-			if err := logmodel.WriteTSV(f, l); err != nil {
+			var err error
+			for i := 0; i < len(l) && err == nil; i++ {
+				err = enc.Encode(&l[i])
+			}
+			if err == nil {
+				err = enc.Flush()
+			}
+			if err != nil {
 				logger.Error("write clean log failed", "path", *cleanOut, "error", err)
 			}
 		}

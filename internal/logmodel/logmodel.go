@@ -7,12 +7,7 @@
 package logmodel
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"sqlclean/internal/parallel"
@@ -170,149 +165,4 @@ func (l Log) Clone() Log {
 	out := make(Log, len(l))
 	copy(out, l)
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// TSV serialization
-// ---------------------------------------------------------------------------
-
-// TimeFormat is the on-disk timestamp layout.
-const TimeFormat = "2006-01-02T15:04:05.000"
-
-// escape replaces tab and newline characters inside statements so one entry
-// stays one TSV line.
-func escape(s string) string {
-	r := strings.NewReplacer("\\", `\\`, "\t", `\t`, "\n", `\n`, "\r", `\r`)
-	return r.Replace(s)
-}
-
-func unescape(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' || i+1 >= len(s) {
-			b.WriteByte(s[i])
-			continue
-		}
-		i++
-		switch s[i] {
-		case 't':
-			b.WriteByte('\t')
-		case 'n':
-			b.WriteByte('\n')
-		case 'r':
-			b.WriteByte('\r')
-		case '\\':
-			b.WriteByte('\\')
-		default:
-			b.WriteByte('\\')
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
-
-// WriteTSV writes the log as tab-separated lines:
-// time, user, session, rows, statement.
-func WriteTSV(w io.Writer, l Log) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range l {
-		rows := ""
-		if e.Rows >= 0 {
-			rows = strconv.FormatInt(e.Rows, 10)
-		}
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%s\n",
-			e.Time.UTC().Format(TimeFormat), escape(e.User), escape(e.Session), rows, escape(e.Statement)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// LineError is a TSV parse failure that knows which input line it came
-// from. Line counts every line of the input, including blank lines the
-// scanner skips — it is the number an editor or a `sed -n Np` would show.
-type LineError struct {
-	Line int
-	Err  error
-}
-
-func (e *LineError) Error() string { return fmt.Sprintf("logmodel: line %d: %v", e.Line, e.Err) }
-
-func (e *LineError) Unwrap() error { return e.Err }
-
-// ScanTSV streams a TSV log entry by entry, calling fn for each record —
-// constant memory regardless of log size. Seq numbers are assigned in file
-// order. fn returning an error stops the scan and propagates the error.
-// Parse failures are returned as *LineError.
-func ScanTSV(r io.Reader, fn func(Entry) error) error {
-	return ScanTSVLines(r, func(_ int, e Entry) error { return fn(e) })
-}
-
-// ScanTSVLines is ScanTSV with the input's real 1-based line number passed
-// to the callback. Entry indices and line numbers diverge whenever the
-// input has blank lines, so any caller reporting a position to a human (or
-// an HTTP client retrying a failed batch) needs the line, not the count of
-// entries seen so far.
-func ScanTSVLines(r io.Reader, fn func(line int, e Entry) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo := 0
-	seq := int64(0)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		e, err := parseTSVLine(line)
-		if err != nil {
-			return &LineError{Line: lineNo, Err: err}
-		}
-		e.Seq = seq
-		seq++
-		if err := fn(lineNo, e); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
-}
-
-func parseTSVLine(line string) (Entry, error) {
-	parts := strings.SplitN(line, "\t", 5)
-	if len(parts) != 5 {
-		return Entry{}, fmt.Errorf("expected 5 tab-separated fields, got %d", len(parts))
-	}
-	t, err := time.Parse(TimeFormat, parts[0])
-	if err != nil {
-		return Entry{}, fmt.Errorf("bad timestamp: %v", err)
-	}
-	rows := int64(-1)
-	if parts[3] != "" {
-		rows, err = strconv.ParseInt(parts[3], 10, 64)
-		if err != nil {
-			return Entry{}, fmt.Errorf("bad row count: %v", err)
-		}
-	}
-	return Entry{
-		Time:      t,
-		User:      unescape(parts[1]),
-		Session:   unescape(parts[2]),
-		Rows:      rows,
-		Statement: unescape(parts[4]),
-	}, nil
-}
-
-// ReadTSV reads a log previously written by WriteTSV. Seq numbers are
-// assigned in file order.
-func ReadTSV(r io.Reader) (Log, error) {
-	var out Log
-	err := ScanTSV(r, func(e Entry) error {
-		out = append(out, e)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

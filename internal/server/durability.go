@@ -188,7 +188,7 @@ func (s *Server) snapshotLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.snapStop:
+		case <-s.stop:
 			return
 		case <-t.C:
 			if err := s.takeSnapshot(30 * time.Second); err != nil {

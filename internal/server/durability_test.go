@@ -29,7 +29,7 @@ func (s *Server) crash() {
 	s.closeMu.Lock()
 	s.closed.Store(true)
 	s.closeMu.Unlock()
-	close(s.snapStop)
+	close(s.stop)
 	s.ingestWG.Wait()
 	for _, q := range s.queues {
 		close(q)

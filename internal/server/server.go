@@ -8,11 +8,13 @@
 //
 // Flow control is explicit: every shard has one bounded queue and one drain
 // goroutine (one goroutine per user partition preserves the engine's
-// per-user ordering contract), enqueue never blocks, and a full queue turns
-// the request into 429 so the producer — not the daemon's memory — absorbs
-// the burst. Shutdown is graceful by construction: Close stops new requests,
-// waits for in-flight ones, drains every queue, then flushes all open
-// sessions through the engine — an accepted entry is never dropped.
+// per-user ordering contract). A request whose shard queue is full waits
+// briefly (at most admitWait) for a drain to free room, and only then turns
+// into 429, so a short burst is absorbed while a sustained overload is
+// pushed back to the producer — not into the daemon's memory. Shutdown is
+// graceful by construction: Close stops new requests, waits for in-flight
+// ones, drains every queue, then flushes all open sessions through the
+// engine — an accepted entry is never dropped.
 //
 // Durability is opt-in via Config.DataDir: every accepted entry is framed
 // into a write-ahead journal (internal/journal) before the request is
@@ -25,6 +27,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -55,7 +58,8 @@ import (
 type Config struct {
 	// Stream configures the sharded engine (shard count, session gap,
 	// duplicate window, ...). Stream.Config.Metrics and Stream.Config.Parser
-	// default to the server's own registry and shared parser.
+	// default to the server's own registry and shared parser; Stream.Busy is
+	// always the server's own (a shard is busy while its queue holds work).
 	Stream stream.ShardedConfig
 	// QueueSize is the per-shard ingest queue capacity (0 selects 1024).
 	// Total buffered entries are bounded by Shards × QueueSize.
@@ -168,6 +172,16 @@ type Server struct {
 	// makes a replay apply entries exactly as the crashed run did. A batch
 	// flush touching several shards locks them in ascending index order.
 	qMu []sync.Mutex
+	// sent and applied count each shard's batches: sent rises at the queue
+	// send (under qMu), applied when the drain has applied and emitted a
+	// batch. A read waits until applied catches up with the sent values it
+	// saw on arrival (see WaitApplied).
+	sent    []atomic.Int64
+	applied []atomic.Int64
+	// room wakes admission waits when a drain takes a batch off its queue;
+	// caughtUp wakes read barriers when a drain finishes a batch.
+	room     broadcast
+	caughtUp broadcast
 
 	drainWG  sync.WaitGroup // drain goroutines
 	ingestWG sync.WaitGroup // in-flight ingest requests
@@ -188,11 +202,13 @@ type Server struct {
 	store *colstore.Store
 	// enqMu freezes the enqueue path while a snapshot captures engine state;
 	// pending counts entries enqueued but not yet applied by a drain.
-	enqMu    sync.RWMutex
-	pending  atomic.Int64
-	snapMu   sync.Mutex
-	snapStop chan struct{}
-	snapWG   sync.WaitGroup
+	enqMu   sync.RWMutex
+	pending atomic.Int64
+	snapMu  sync.Mutex
+	snapWG  sync.WaitGroup
+	// stop is closed by Close: it ends the snapshot loop and every
+	// admission wait.
+	stop     chan struct{}
 	replayed int
 	// lastSnapshotNS is the wall-clock unix nanos of the newest on-disk
 	// snapshot (written this run, or the restored file's mtime); 0 = none.
@@ -244,20 +260,24 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Stream.Metrics == nil {
 		cfg.Stream.Metrics = cfg.Metrics
 	}
+	var s *Server
+	// A shard with batches sent but not yet applied is busy: the engine's
+	// cross-shard sweep leaves it to its own queued entries.
+	cfg.Stream.Busy = func(i int) bool { return s.sent[i].Load() != s.applied[i].Load() }
 	if cfg.Stream.Parser == nil {
 		// One parse cache for the whole daemon: every shard, and any batch
 		// run sharing this parser, sees one hit/miss account.
 		cfg.Stream.Parser = parsedlog.NewParser()
 		cfg.Stream.Parser.Instrument(cfg.Stream.Metrics)
 	}
-	s := &Server{
-		cfg:      cfg,
-		reg:      cfg.Metrics,
-		log:      cfg.Logger,
-		reqlog:   obs.NewRequestLog(cfg.RequestLogSize, 0),
-		eng:      stream.NewSharded(cfg.Stream),
-		start:    time.Now(),
-		snapStop: make(chan struct{}),
+	s = &Server{
+		cfg:    cfg,
+		reg:    cfg.Metrics,
+		log:    cfg.Logger,
+		reqlog: obs.NewRequestLog(cfg.RequestLogSize, 0),
+		eng:    stream.NewSharded(cfg.Stream),
+		start:  time.Now(),
+		stop:   make(chan struct{}),
 
 		mRequests:      cfg.Metrics.Counter("ingest_requests_total"),
 		mAccepted:      cfg.Metrics.Counter("ingest_accepted_total"),
@@ -283,6 +303,8 @@ func New(cfg Config) (*Server, error) {
 
 		gHLLOcc: cfg.Metrics.Gauge("sketch_hll_registers_occupied"),
 	}
+	s.sent = make([]atomic.Int64, s.eng.NumShards())
+	s.applied = make([]atomic.Int64, s.eng.NumShards())
 	if !cfg.ClustersDisabled {
 		// Created before durability replay so re-emitted sessions populate
 		// the registry exactly like live traffic.
@@ -343,6 +365,7 @@ func (s *Server) drain(i int) {
 		// batched analogue of the per-entry path's receive-time decrement.
 		s.qDepth.Add(-int64(len(batch)))
 		s.qDepthShard[i].Add(-int64(len(batch)))
+		s.room.notify()
 		entries = entries[:0]
 		for _, q := range batch {
 			entries = append(entries, q.e)
@@ -368,6 +391,44 @@ func (s *Server) drain(i int) {
 			batch[k].tr.DonePending("emit")
 			s.pending.Add(-1)
 		})
+		s.applied[i].Add(1)
+		s.caughtUp.notify()
+	}
+}
+
+// WaitApplied is the read-after-ack barrier: it returns once every batch
+// that had been sent to a shard queue when it was called is applied and
+// emitted, so everything an ingest acknowledged before the call is visible
+// to Engine, Report and the read endpoints. It returns ctx.Err() if the
+// context ends first.
+func (s *Server) WaitApplied(ctx context.Context) error {
+	target := make([]int64, len(s.sent))
+	for i := range s.sent {
+		target[i] = s.sent[i].Load()
+	}
+	done := func() bool {
+		for i, n := range target {
+			if s.applied[i].Load() < n {
+				return false
+			}
+		}
+		return true
+	}
+	if done() {
+		return nil
+	}
+	s.caughtUp.join()
+	defer s.caughtUp.leave()
+	for {
+		wake := s.caughtUp.next()
+		if done() {
+			return nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 
@@ -405,13 +466,14 @@ func (s *Server) Close(ctx context.Context) error {
 		s.closeMu.Lock()
 		s.closed.Store(true)
 		s.closeMu.Unlock()
-		close(s.snapStop)
+		close(s.stop)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			// Enqueues are non-blocking, so in-flight requests finish as
-			// fast as they can read their bodies; only then is closing the
-			// queues free of lost sends.
+			// Enqueues never block and closing stop ended every admission
+			// wait, so in-flight requests finish as fast as they can read
+			// their bodies; only then is closing the queues free of lost
+			// sends.
 			s.ingestWG.Wait()
 			for _, q := range s.queues {
 				close(q)
@@ -432,13 +494,22 @@ func (s *Server) Close(ctx context.Context) error {
 
 // Handler returns the service mux:
 //
-//	POST /ingest   NDJSON (default) or TSV log lines; 429 on full queue
+//	POST /ingest   NDJSON (default) or TSV log lines; 429 when a queue stays full
 //	GET  /report   incremental cleaning report (JSON)
 //	GET  /clusters overlap clustering of observed predicate boxes (§6.9)
+//	GET  /toplist  heavy-hitter templates and the distinct-identity estimate
+//	GET  /history  template trends from the columnar retention store
 //	GET  /healthz  liveness, version, queue, session and watermark state
 //	GET  /statusz  self-contained human status page (?format=text for plain)
 //	GET  /debug/requests   recent / slowest request traces (?view=slow)
 //	/metrics, /debug/pprof/, /debug/vars   the obs debug surface
+//
+// Read-after-ack is the default contract of the read endpoints: /report,
+// /clusters, /toplist, /history and /statusz first wait (bounded by the
+// request's context) until every entry acknowledged before the read arrived
+// is applied, so a client that reads after its own ingest sees it.
+// /healthz and /metrics never wait: they report progress, including the
+// lag the barrier would hide.
 //
 // Every endpoint is wrapped in per-endpoint latency/status/bytes middleware
 // feeding the registry (http_<endpoint>_* series).
@@ -447,19 +518,33 @@ func (s *Server) Handler() http.Handler {
 	handle := func(pattern, endpoint string, h http.Handler) {
 		mux.Handle(pattern, obs.InstrumentHandler(s.reg, endpoint, h))
 	}
+	read := func(pattern, endpoint string, h http.HandlerFunc) {
+		handle(pattern, endpoint, s.afterAck(h))
+	}
 	handle("POST /ingest", "ingest", http.HandlerFunc(s.handleIngest))
-	handle("GET /report", "report", http.HandlerFunc(s.handleReport))
-	handle("GET /clusters", "clusters", http.HandlerFunc(s.handleClusters))
-	handle("GET /toplist", "toplist", http.HandlerFunc(s.handleToplist))
-	handle("GET /history", "history", http.HandlerFunc(s.handleHistory))
+	read("GET /report", "report", s.handleReport)
+	read("GET /clusters", "clusters", s.handleClusters)
+	read("GET /toplist", "toplist", s.handleToplist)
+	read("GET /history", "history", s.handleHistory)
+	read("GET /statusz", "statusz", s.handleStatusz)
 	handle("GET /healthz", "healthz", http.HandlerFunc(s.handleHealthz))
-	handle("GET /statusz", "statusz", http.HandlerFunc(s.handleStatusz))
 	// More specific than the debug mux's /debug/ subtree, so it wins.
 	handle("GET /debug/requests", "debug_requests", s.reqlog)
 	debug := obs.NewDebugMux(s.reg)
 	mux.Handle("/metrics", debug)
 	mux.Handle("/debug/", debug)
 	return mux
+}
+
+// afterAck puts the read-after-ack barrier in front of a read endpoint.
+func (s *Server) afterAck(h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := s.WaitApplied(r.Context()); err != nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "waiting for acknowledged entries: " + err.Error()})
+			return
+		}
+		h(w, r)
+	})
 }
 
 // wireEntry is the NDJSON ingest record.
@@ -495,8 +580,14 @@ func (w wireEntry) entry() (logmodel.Entry, error) {
 	return logmodel.Entry{Time: t, User: w.User, Session: w.Session, Rows: rows, Statement: w.Statement}, nil
 }
 
-// errQueueFull aborts an ingest scan when a shard queue rejects an entry.
+// errQueueFull aborts an ingest scan when a shard queue stays full for the
+// whole admission wait.
 var errQueueFull = errors.New("ingest queue full")
+
+// admitWait bounds how long one flush waits for a full shard queue to gain
+// room before the request is answered 429. The 429's Retry-After header
+// carries the same interval, in seconds.
+const admitWait = time.Second
 
 // errJournal aborts an ingest scan when the write-ahead journal rejects an
 // append (disk full, I/O error): the entries framed before the failure are
@@ -519,26 +610,27 @@ type stagedEntry struct {
 
 // stager accumulates one request's decoded entries and dispatches them in
 // per-shard batches: one qMu acquisition, one journal AppendBatch, one
-// channel send and one set of pending/qDepth updates per (flush, shard),
+// channel send and one set of pending/qDepth updates per (dispatch, shard),
 // instead of one of each per entry.
 type stager struct {
 	s        *Server
+	ctx      context.Context // the request's: ends an admission wait early
 	tr       *obs.ReqTrace
 	buf      []stagedEntry
 	accepted int // entries dispatched and journaled across all flushes
 	failLine int // input line of the first rejected entry (0 = none)
 
-	// Per-shard scratch, reused across flushes.
-	room    []int            // remaining queue capacity during a flush
-	count   []int            // entries bound for each shard in this flush
+	// Per-shard scratch, reused across dispatches.
+	room    []int            // remaining queue capacity during a dispatch
+	count   []int            // entries bound for each shard in this dispatch
 	entries []logmodel.Entry // journal batch, in input order
-	touched []int            // shard indexes this flush uses, ascending
+	touched []int            // shard indexes this dispatch uses, ascending
 }
 
-func newStager(s *Server, tr *obs.ReqTrace) *stager {
+func newStager(ctx context.Context, s *Server, tr *obs.ReqTrace) *stager {
 	n := len(s.queues)
 	return &stager{
-		s: s, tr: tr,
+		s: s, ctx: ctx, tr: tr,
 		buf:     make([]stagedEntry, 0, flushEvery),
 		room:    make([]int, n),
 		count:   make([]int, n),
@@ -558,9 +650,49 @@ func (st *stager) add(e logmodel.Entry, line int) error {
 // finish flushes whatever remains staged at the end of the scan.
 func (st *stager) finish() error { return st.flush() }
 
-// flush dispatches the staged chunk. Under the snapshot freeze and the
-// touched shards' locks (ascending order — the only multi-lock path, so no
-// ordering cycle exists) it:
+// flush dispatches the staged chunk. When a shard queue is full, the
+// admitted prefix goes out and the refused suffix stays staged: flush waits
+// for a drain to free room — holding no lock — and dispatches the suffix
+// again, until it is all admitted or admitWait has passed. Only then, or
+// when the request is cancelled or the server closes, is the first entry
+// still refused reported as errQueueFull (and counted once as a rejection).
+func (st *stager) flush() error {
+	defer func() { st.buf = st.buf[:0] }()
+	rest := st.buf
+	n, err := st.dispatch(rest)
+	if err != nil || n == len(rest) {
+		return err
+	}
+	s := st.s
+	s.room.join()
+	defer s.room.leave()
+	expire := time.NewTimer(admitWait)
+	defer expire.Stop()
+	for {
+		rest = rest[n:]
+		// Take the wake-up channel before looking at the queues, so room a
+		// drain frees after this dispatch still wakes the wait below.
+		wake := s.room.next()
+		if n, err = st.dispatch(rest); err != nil || n == len(rest) {
+			return err
+		}
+		select {
+		case <-wake:
+			continue
+		case <-expire.C:
+		case <-st.ctx.Done():
+		case <-s.stop:
+		}
+		st.failLine = rest[n].line
+		s.mRejectedFull.Inc()
+		return errQueueFull
+	}
+}
+
+// dispatch admits the longest prefix of staged that fits the shard queues
+// and returns its length. Under the snapshot freeze and the touched shards'
+// locks (ascending order — the only multi-lock path, so no ordering cycle
+// exists) it:
 //
 //  1. computes each shard's remaining capacity from the depth gauge and
 //     finds the global cut: the first staged entry, in input order, whose
@@ -568,30 +700,35 @@ func (st *stager) finish() error { return st.flush() }
 //     429 accounting across shards);
 //  2. assigns the admitted prefix its seq numbers with one atomic add;
 //  3. frames the prefix into the journal with one AppendBatch call (an I/O
-//     error shortens the prefix to what the journal actually holds);
+//     error shortens the prefix to what the journal actually holds, and is
+//     returned as errJournal);
 //  4. sends each shard its batch — one send, one AddPending, one set of
 //     gauge updates per shard.
 //
 // Journal-before-queue: an entry is only ever dispatched after its frame is
 // buffered in the WAL, so queue order equals WAL order per shard and a
 // replayed journal re-applies exactly what the queues saw.
-func (st *stager) flush() error {
-	n := len(st.buf)
+func (st *stager) dispatch(staged []stagedEntry) (int, error) {
+	n := len(staged)
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
 	s := st.s
-	defer func() { st.buf = st.buf[:0] }()
 
 	st.touched = st.touched[:0]
-	for k := range st.buf {
-		i := st.buf[k].shard
+	for k := range staged {
+		i := staged[k].shard
 		if st.count[i] == 0 {
 			st.touched = append(st.touched, i)
 		}
 		st.count[i]++
 	}
 	sort.Ints(st.touched)
+	defer func() {
+		for _, i := range st.touched {
+			st.count[i] = 0
+		}
+	}()
 
 	// Read side of the snapshot freeze: while a checkpoint captures engine
 	// state, no new entry may slip past the recorded journal position.
@@ -606,91 +743,83 @@ func (st *stager) flush() error {
 		}
 	}()
 
-	// The depth gauge is incremented under qMu (by flushes) and decremented
-	// by the drain at batch receive, so reading it here is conservative:
-	// never below the true queue population. room is therefore a safe
-	// admission budget.
+	// The depth gauge is incremented under qMu (by dispatches) and
+	// decremented by the drain at batch receive, so reading it here is
+	// conservative: never below the true queue population. room is
+	// therefore a safe admission budget.
 	for _, i := range st.touched {
 		st.room[i] = s.cfg.QueueSize - int(s.qDepthShard[i].Value())
 	}
-	cut, full := n, false
-	for k := range st.buf {
-		i := st.buf[k].shard
+	cut := n
+	for k := range staged {
+		i := staged[k].shard
 		if st.room[i] <= 0 {
-			cut, full = k, true
+			cut = k
 			break
 		}
 		st.room[i]--
 	}
+	if cut == 0 {
+		return 0, nil
+	}
 
 	journaled := cut
 	var jerr error
-	if cut > 0 {
-		base := s.seq.Add(int64(cut)) - int64(cut)
-		st.entries = st.entries[:0]
-		for k := 0; k < cut; k++ {
-			st.buf[k].e.Seq = base + int64(k)
-			st.entries = append(st.entries, st.buf[k].e)
+	base := s.seq.Add(int64(cut)) - int64(cut)
+	st.entries = st.entries[:0]
+	for k := 0; k < cut; k++ {
+		staged[k].e.Seq = base + int64(k)
+		st.entries = append(st.entries, staged[k].e)
+	}
+	if s.jw != nil {
+		p, _, err := s.jw.AppendBatch(st.entries)
+		if err != nil {
+			s.mJournalErrs.Inc()
+			journaled = p
+			jerr = fmt.Errorf("%w: %v", errJournal, err)
 		}
-		if s.jw != nil {
-			p, _, err := s.jw.AppendBatch(st.entries)
-			if err != nil {
-				s.mJournalErrs.Inc()
-				journaled = p
-				jerr = fmt.Errorf("%w: %v", errJournal, err)
-			}
-		}
-		for _, i := range st.touched {
-			// count covers the whole staged chunk; when the cut (or a journal
-			// error) shortened the dispatched prefix, recount over it so no
-			// shard gets an empty — or short-capped — batch.
-			c := st.count[i]
-			if journaled < n {
-				c = 0
-				for k := 0; k < journaled; k++ {
-					if st.buf[k].shard == i {
-						c++
-					}
-				}
-			}
-			if c == 0 {
-				continue
-			}
-			batch := make([]queued, 0, c)
-			for k := 0; k < journaled; k++ {
-				if st.buf[k].shard == i {
-					batch = append(batch, queued{e: st.buf[k].e, tr: st.tr})
-				}
-			}
-			// Register the async completions before the send: the drain may
-			// apply the batch the instant it lands, and its DonePending calls
-			// must not race the counter to zero ahead of this registration.
-			// The gauges rise before the send too, so the admission budget
-			// above never under-counts a batch the drain already received.
-			st.tr.AddPending(int64(len(batch)))
-			s.pending.Add(int64(len(batch)))
-			s.qDepth.Add(int64(len(batch)))
-			s.qDepthShard[i].Add(int64(len(batch)))
-			s.queues[i] <- batch // non-blocking by construction (see New)
-		}
-		s.mAccepted.Add(int64(journaled))
-		st.accepted += journaled
 	}
 	for _, i := range st.touched {
-		st.count[i] = 0
+		// count covers every staged entry; when the cut (or a journal
+		// error) shortened the dispatched prefix, recount over it so no
+		// shard gets an empty — or short-capped — batch.
+		c := st.count[i]
+		if journaled < n {
+			c = 0
+			for k := 0; k < journaled; k++ {
+				if staged[k].shard == i {
+					c++
+				}
+			}
+		}
+		if c == 0 {
+			continue
+		}
+		batch := make([]queued, 0, c)
+		for k := 0; k < journaled; k++ {
+			if staged[k].shard == i {
+				batch = append(batch, queued{e: staged[k].e, tr: st.tr})
+			}
+		}
+		// Register the async completions before the send: the drain may
+		// apply the batch the instant it lands, and its DonePending calls
+		// must not race the counter to zero ahead of this registration.
+		// The gauges rise before the send too, so the admission budget
+		// above never under-counts a batch the drain already received.
+		st.tr.AddPending(int64(len(batch)))
+		s.pending.Add(int64(len(batch)))
+		s.qDepth.Add(int64(len(batch)))
+		s.qDepthShard[i].Add(int64(len(batch)))
+		s.sent[i].Add(1)
+		s.queues[i] <- batch // non-blocking by construction (see New)
 	}
-
-	switch {
-	case jerr != nil:
+	s.mAccepted.Add(int64(journaled))
+	st.accepted += journaled
+	if jerr != nil {
 		// The journal failure line precedes any queue-full line.
-		st.failLine = st.buf[journaled].line
-		return jerr
-	case full:
-		st.failLine = st.buf[cut].line
-		s.mRejectedFull.Inc()
-		return errQueueFull
+		st.failLine = staged[journaled].line
 	}
-	return nil
+	return journaled, jerr
 }
 
 type ingestResponse struct {
@@ -740,7 +869,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	scanStart := time.Now()
-	accepted, line, err := s.ingestLines(body, format, tr)
+	accepted, line, err := s.ingestLines(r.Context(), body, format, tr)
 	tr.Stage("enqueue", time.Since(scanStart))
 	tr.SetInt("accepted", int64(accepted))
 	// Group commit: one flush (and fsync, per policy) per request, before
@@ -762,7 +891,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ingestResponse{Accepted: accepted})
 		s.finishTrace(tr, http.StatusOK, "ok", accepted)
 	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", strconv.Itoa(int(admitWait/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, ingestResponse{Accepted: accepted, Error: err.Error(), Line: line})
 		s.finishTrace(tr, http.StatusTooManyRequests, "queue full", accepted)
 	case errors.Is(err, errJournal):
@@ -820,8 +949,8 @@ func (s *Server) finishTrace(tr *obs.ReqTrace, status int, outcome string, accep
 // they were valid, and the per-entry path accepted them too. When both a
 // dispatch failure and a parse failure occur, the dispatch failure wins —
 // its line is always the earlier one.
-func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (accepted, line int, err error) {
-	st := newStager(s, tr)
+func (s *Server) ingestLines(ctx context.Context, body io.Reader, format string, tr *obs.ReqTrace) (accepted, line int, err error) {
+	st := newStager(ctx, s, tr)
 	var scanErr error
 	badLine := 0
 	if format == "tsv" {
@@ -843,15 +972,15 @@ func (s *Server) ingestLines(body io.Reader, format string, tr *obs.ReqTrace) (a
 		}
 	} else {
 		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+		sc.Buffer(make([]byte, 0, logmodel.ScanBufferSize), logmodel.MaxLineBytes)
 		for sc.Scan() && scanErr == nil {
 			line++
-			text := strings.TrimSpace(sc.Text())
-			if text == "" {
+			text := bytes.TrimSpace(sc.Bytes())
+			if len(text) == 0 {
 				continue
 			}
 			var we wireEntry
-			if uerr := json.Unmarshal([]byte(text), &we); uerr != nil {
+			if uerr := json.Unmarshal(text, &we); uerr != nil {
 				scanErr, badLine = fmt.Errorf("line %d: %v", line, uerr), line
 				break
 			}

@@ -379,6 +379,11 @@ func TestIngestTSV(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || ir.Accepted != 2 {
 		t.Fatalf("tsv ingest: status %d, %+v", resp.StatusCode, ir)
 	}
+	// An ack means journaled and queued; the engine is read directly, so
+	// wait for the drains to apply what was acknowledged.
+	if err := s.WaitApplied(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if st := s.Engine().Stats(); st.In != 2 {
 		t.Errorf("engine saw %d entries, want 2", st.In)
 	}

@@ -63,6 +63,13 @@ type ShardedConfig struct {
 	// bound — batch replays of historic logs legitimately jump the event
 	// clock by months.
 	MaxFutureSkew time.Duration
+	// Busy, when set, reports whether a shard has entries its caller has
+	// accepted but not yet applied (a server's non-empty ingest queue). The
+	// cross-shard sweep skips a busy shard: its queued entries advance it
+	// themselves, and advancing it on the other partitions' clock could
+	// close a session those entries still belong to. Nil treats every shard
+	// as idle.
+	Busy func(shard int) bool
 }
 
 func (c ShardedConfig) withDefaults() ShardedConfig {
@@ -132,8 +139,9 @@ type Sharded struct {
 	watermarkNS atomic.Int64
 	// adds triggers the periodic cross-shard sweep.
 	adds atomic.Int64
-	// openCount/openHigh track global open sessions exactly (each delta is
-	// computed under the owning shard's lock).
+	// openCount/openHigh track global open sessions exactly: each delta is
+	// computed and added under the owning shard's lock, so the sequence of
+	// adds follows every shard's own order of opens and closes.
 	openCount atomic.Int64
 	openHigh  atomic.Int64
 
@@ -240,12 +248,11 @@ func (s *Sharded) AddShard(i int, e logmodel.Entry) (logmodel.Log, error) {
 	sh.mu.Lock()
 	before := len(sh.p.open)
 	out, err := sh.p.Add(e)
-	delta := len(sh.p.open) - before
+	s.noteOpenDelta(len(sh.p.open) - before)
 	sh.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	s.noteOpenDelta(delta)
 	if s.adds.Add(1)%int64(s.cfg.SweepEvery) == 0 {
 		if more := s.sweep(); len(more) > 0 {
 			out = append(out, more...)
@@ -278,6 +285,10 @@ func (s *Sharded) raiseWatermark(ns int64) {
 	}
 }
 
+// noteOpenDelta applies one shard's open-session change to the global count
+// and peak. Callers hold that shard's lock: adding after unlocking would let
+// another shard's later open land before this shard's earlier close, and
+// the peak would overshoot.
 func (s *Sharded) noteOpenDelta(d int) {
 	if d == 0 {
 		return
@@ -292,8 +303,9 @@ func (s *Sharded) noteOpenDelta(d int) {
 	s.gauge.Add(int64(d))
 }
 
-// sweep advances every shard to the global watermark minus the allowed
-// lateness, closing sessions whose silence only other partitions can prove.
+// sweep advances every shard that is not busy to the global watermark minus
+// the allowed lateness, closing sessions whose silence only other
+// partitions can prove.
 func (s *Sharded) sweep() logmodel.Log {
 	wm := s.watermarkNS.Load()
 	if wm == math.MinInt64 {
@@ -301,13 +313,15 @@ func (s *Sharded) sweep() logmodel.Log {
 	}
 	t := time.Unix(0, wm).UTC().Add(-s.cfg.AllowedLateness)
 	var out logmodel.Log
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
+		if s.cfg.Busy != nil && s.cfg.Busy(i) {
+			continue
+		}
 		sh.mu.Lock()
 		before := len(sh.p.open)
 		closed := sh.p.Advance(t)
-		delta := len(sh.p.open) - before
+		s.noteOpenDelta(len(sh.p.open) - before)
 		sh.mu.Unlock()
-		s.noteOpenDelta(delta)
 		out = append(out, closed...)
 	}
 	return out
@@ -323,9 +337,8 @@ func (s *Sharded) Close() logmodel.Log {
 		sh.mu.Lock()
 		before := len(sh.p.open)
 		outs[i] = sh.p.Close()
-		delta := len(sh.p.open) - before
+		s.noteOpenDelta(len(sh.p.open) - before)
 		sh.mu.Unlock()
-		s.noteOpenDelta(delta)
 	})
 	var n int
 	for _, o := range outs {
@@ -471,9 +484,8 @@ func RunSharded(l logmodel.Log, cfg ShardedConfig) (logmodel.Log, Stats, error) 
 			sh.mu.Lock()
 			before := len(sh.p.open)
 			emitted, err := sh.p.Add(l[idx])
-			delta := len(sh.p.open) - before
+			s.noteOpenDelta(len(sh.p.open) - before)
 			sh.mu.Unlock()
-			s.noteOpenDelta(delta)
 			if err != nil {
 				errs[i] = err
 				return

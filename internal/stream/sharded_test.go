@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,6 +300,52 @@ func TestShardedWatermarkSweep(t *testing.T) {
 	}
 	if eng.OpenSessions() != 1 {
 		t.Errorf("open sessions: %d, want 1 (busy only)", eng.OpenSessions())
+	}
+}
+
+// TestShardedSweepSkipsBusyShard: a shard the caller reports busy (entries
+// still queued for it) keeps its session through cross-shard sweeps; once
+// idle, the next sweep closes it.
+func TestShardedSweepSkipsBusyShard(t *testing.T) {
+	base := time.Date(2003, 6, 1, 0, 0, 0, 0, time.UTC)
+	var lagging atomic.Bool
+	lagging.Store(true)
+	var eng *Sharded
+	quiet := "quiet-user"
+	eng = NewSharded(ShardedConfig{Shards: 8, SweepEvery: 4, Busy: func(i int) bool {
+		return lagging.Load() && i == eng.ShardFor(quiet)
+	}})
+	busy := ""
+	for i := 0; ; i++ {
+		u := fmt.Sprintf("busy%d", i)
+		if eng.ShardFor(u) != eng.ShardFor(quiet) {
+			busy = u
+			break
+		}
+	}
+	if _, err := eng.Add(logmodel.Entry{Time: base, User: quiet, Statement: "SELECT 1"}); err != nil {
+		t.Fatal(err)
+	}
+	feed := func(from int) (quietOut int) {
+		for i := from; i < from+16; i++ {
+			out, err := eng.Add(logmodel.Entry{Time: base.Add(time.Hour + time.Duration(i)*time.Second), User: busy, Statement: "SELECT 2"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range out {
+				if e.User == quiet {
+					quietOut++
+				}
+			}
+		}
+		return quietOut
+	}
+	if n := feed(0); n != 0 || eng.OpenSessions() != 2 {
+		t.Fatalf("busy shard swept: %d quiet entries emitted, %d open sessions, want 0 and 2", n, eng.OpenSessions())
+	}
+	lagging.Store(false)
+	if n := feed(16); n != 1 || eng.OpenSessions() != 1 {
+		t.Fatalf("idle shard not swept: %d quiet entries emitted, %d open sessions, want 1 and 1", n, eng.OpenSessions())
 	}
 }
 
